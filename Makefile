@@ -17,10 +17,12 @@ test:
 lint:
 	$(GO) run ./cmd/sdemlint ./...
 
-# fuzz is a short smoke run of the resilient-runtime fuzz target; CI runs
-# it on every push, longer campaigns are manual (-fuzztime 10m etc.).
+# fuzz is a short smoke run of the fuzz targets — the resilient runtime's
+# invariants and the SDEM-ON engine against its rescan oracle; CI runs it
+# on every push, longer campaigns are manual (-fuzztime 10m etc.).
 fuzz:
 	$(GO) test ./internal/resilient -run '^$$' -fuzz FuzzExecute -fuzztime 10s
+	$(GO) test ./internal/online -run '^$$' -fuzz FuzzScheduleMatchesOracle -fuzztime 10s
 
 # trace-demo writes a small sweep's metrics and a Chrome trace you can
 # open in ui.perfetto.dev or chrome://tracing (see README "Observability").

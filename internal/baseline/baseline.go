@@ -85,44 +85,46 @@ func run(tasks task.Set, sys power.System, cores int, rule SpeedRule) (*sim.Resu
 	return runTel(tasks, sys, cores, rule, nil, "")
 }
 
-// runTel is run with a telemetry recorder attached to the pool under the
-// given scheduler name; a nil recorder is the uninstrumented path.
+// runTel is run with a telemetry recorder attached to the executor
+// under the given scheduler name; a nil recorder is the uninstrumented
+// path.
 func runTel(tasks task.Set, sys power.System, cores int, rule SpeedRule, tel *telemetry.Recorder, name string) (*sim.Result, error) {
-	pool, err := sim.NewPool(tasks, sys, cores)
+	ex, sorted, err := sim.NewBatch(tasks, sys, cores)
 	if err != nil {
 		return nil, err
 	}
-	pool.SetTelemetry(tel, name)
-	n := pool.Cores()
+	ex.SetTelemetry(tel, name)
 	// Round-robin assignment in release order (§8.1.2: "the first 8 tasks
 	// are assigned to 8 cores separately, the 9th to the first core...").
-	perCore := make([][]task.Task, n)
-	for i, t := range pool.Tasks() {
-		c := i % n
-		perCore[c] = append(perCore[c], t)
+	perCore := make([][]*sim.Job, ex.Cores())
+	for i, t := range sorted {
+		j, err := ex.Admit(t)
+		if err != nil {
+			return nil, err
+		}
+		perCore[i%len(perCore)] = append(perCore[i%len(perCore)], j)
 	}
 	for c, assigned := range perCore {
-		if err := runCore(pool, c, assigned, rule); err != nil {
+		if err := runCore(ex, c, assigned, rule); err != nil {
 			return nil, err
 		}
 	}
-	return pool.Finish()
+	return ex.Result(), nil
 }
 
-// runCore simulates one core over its assigned tasks.
-func runCore(pool *sim.Pool, core int, assigned []task.Task, rule SpeedRule) error {
-	sys := pool.System()
-	idx := 0 // next arrival in assigned (release-sorted)
+// runCore simulates one core over its assigned, release-ordered jobs.
+func runCore(ex *sim.Executor, core int, assigned []*sim.Job, rule SpeedRule) error {
+	sys := ex.System()
+	idx := 0 // next arrival in assigned
 	var queue []*sim.Job
 	now := math.Inf(-1)
 	if len(assigned) > 0 {
-		now = assigned[0].Release
+		now = assigned[0].Task.Release
 	}
 	for {
 		// Admit arrivals up to now.
-		for idx < len(assigned) && assigned[idx].Release <= now+schedule.Tol {
-			j := pool.Job(assigned[idx].ID)
-			if !j.Done {
+		for idx < len(assigned) && assigned[idx].Task.Release <= now+schedule.Tol {
+			if j := assigned[idx]; !j.Done {
 				queue = append(queue, j)
 			}
 			idx++
@@ -139,7 +141,7 @@ func runCore(pool *sim.Pool, core int, assigned []task.Task, rule SpeedRule) err
 			if idx >= len(assigned) {
 				return nil
 			}
-			now = assigned[idx].Release
+			now = assigned[idx].Task.Release
 			continue
 		}
 		sort.SliceStable(queue, func(a, b int) bool {
@@ -157,8 +159,8 @@ func runCore(pool *sim.Pool, core int, assigned []task.Task, rule SpeedRule) err
 		// Run until the next event: head completion, next arrival, or the
 		// critical deadline where the density regime changes.
 		until := now + head.Remaining/speed
-		if idx < len(assigned) && assigned[idx].Release < until {
-			until = assigned[idx].Release
+		if idx < len(assigned) && assigned[idx].Task.Release < until {
+			until = assigned[idx].Task.Release
 		}
 		if dCrit := criticalDeadline(queue, now, speed); dCrit < until {
 			until = dCrit
@@ -166,7 +168,7 @@ func runCore(pool *sim.Pool, core int, assigned []task.Task, rule SpeedRule) err
 		if until <= now+schedule.Tol {
 			until = now + head.Remaining/speed // degenerate event spacing
 		}
-		end, err := pool.Run(head.Task.ID, core, now, until, speed)
+		end, err := ex.Run(head.Task.ID, core, now, until, speed)
 		if err != nil {
 			return err
 		}

@@ -60,7 +60,7 @@ type Node struct {
 }
 
 // Name returns the node's fully qualified name, e.g.
-// "sdem/internal/online.PlanAt" or "(*sdem/internal/sim.Pool).Run".
+// "sdem/internal/online.raceSpeed" or "(*sdem/internal/sim.Executor).Run".
 func (n *Node) Name() string { return n.Func.FullName() }
 
 // Graph is the module-wide call graph.

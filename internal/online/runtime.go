@@ -3,6 +3,7 @@ package online
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"sdem/internal/commonrelease"
 	"sdem/internal/power"
@@ -12,13 +13,14 @@ import (
 	"sdem/internal/telemetry"
 )
 
-// Runtime is the incremental SDEM-ON engine. Instead of rescanning the
-// pool and re-solving from scratch on every arrival (ScheduleRescan), it
-// maintains:
+// Runtime is the SDEM-ON engine: one arrival loop (drive) and one
+// planner (plan) shared by batch, streaming and resilient runs. Instead
+// of rescanning every job and re-solving from scratch on every arrival,
+// it maintains:
 //
-//   - an EDF-ordered active set updated by a release cursor over the
-//     release-sorted job list (O(log active) insert, O(active) sweep)
-//     instead of the O(jobs) rescan + sort per arrival;
+//   - an EDF-ordered active set updated as arrivals are admitted
+//     (O(log active) insert, O(active) sweep) instead of an O(jobs)
+//     rescan + sort per arrival;
 //   - a retained commonrelease.Solver whose normalization/scan/audit
 //     scratch persists across re-plans, with an ends-only solve that
 //     skips building and auditing the per-plan solution schedule;
@@ -30,9 +32,9 @@ import (
 //     every planned start lands at or past the next arrival, the solve
 //     is skipped entirely — procrastination would sleep through it.
 //
-// Every path is bit-compatible with ScheduleRescan: the equivalence
-// property tests assert byte-identical sim.Result on fault-free and
-// fault-injected deterministic workloads.
+// Every path is bit-compatible with the full-rescan reference kept as
+// the test oracle: the equivalence property tests assert byte-identical
+// sim.Result on fault-free and fault-injected deterministic workloads.
 //
 // A Runtime is not safe for concurrent use, but is reusable: retaining
 // one across Schedule calls (as sdemd does via a sync.Pool) re-plans
@@ -40,12 +42,11 @@ import (
 type Runtime struct {
 	solver commonrelease.Solver
 
-	byRel     []*sim.Job // release-cursor view, (release, deadline, ID) order
 	active    []*sim.Job // EDF order: (deadline, ID)
 	virtual   task.Set   // common-release instance of the current re-plan
 	vjobs     []*sim.Job // vjobs[i] is the job behind virtual[i]
 	urgent    []*sim.Job
-	plans     []plan
+	plans     []Plan
 	busyUntil []float64
 
 	// Plan-delta memo: the (window, workload) bit pattern of the last
@@ -56,66 +57,48 @@ type Runtime struct {
 	memoOK   bool
 }
 
-// Schedule runs SDEM-ON over the task set with the incremental engine
-// and returns the audited result, byte-identical to ScheduleRescan.
+// Schedule runs SDEM-ON over the task set and returns the audited
+// result: the arrival loop of RunStream over the set in release order,
+// into a recording sim.Executor whose schedule spans the set.
 func (rt *Runtime) Schedule(tasks task.Set, sys power.System, opts Options) (*sim.Result, error) {
-	pool, err := sim.NewPool(tasks, sys, opts.Cores)
+	ex, sorted, err := sim.NewBatch(tasks, sys, opts.Cores)
 	if err != nil {
 		return nil, err
 	}
-	who := "sdem-on"
-	if opts.PlanAlphaZero {
-		who = "sdem-on-z"
+	ex.SetTelemetry(opts.Telemetry, scheduler(opts.PlanAlphaZero))
+	err = rt.drive(ex, &setSource{tasks: sorted}, StreamOptions{
+		NoProcrastinate: opts.NoProcrastinate,
+		PlanAlphaZero:   opts.PlanAlphaZero,
+		Telemetry:       opts.Telemetry,
+		Ctx:             opts.Ctx,
+	})
+	if err != nil {
+		return nil, err
 	}
-	pool.SetTelemetry(opts.Telemetry, who)
-	return rt.run(pool, opts)
+	return ex.Result(), nil
 }
 
-// run drives the arrival loop over a freshly created pool.
-func (rt *Runtime) run(pool *sim.Pool, opts Options) (*sim.Result, error) {
-	rt.reset()
-	arrivals := pool.ArrivalTimes()
-	rt.byRel = pool.JobsByRelease(rt.byRel[:0])
-	if cap(rt.busyUntil) < pool.Cores() {
-		//lint:allow hotalloc: the per-core backing grows to the high-water core count once per Runtime
-		rt.busyUntil = make([]float64, pool.Cores())
-	}
-	busy := rt.busyUntil[:pool.Cores()]
-	for i := range busy {
-		busy[i] = 0
-	}
-	cursor := 0
-	for k, now := range arrivals {
-		// Cooperative cancellation checkpoint, once per arrival: the
-		// per-arrival re-plan below is the expensive unit of work.
-		if opts.Ctx != nil {
-			if err := opts.Ctx.Err(); err != nil {
-				return nil, fmt.Errorf("online: cancelled at arrival %d of %d: %w", k, len(arrivals), err)
-			}
-		}
-		next := math.Inf(1)
-		if k+1 < len(arrivals) {
-			next = arrivals[k+1]
-		}
-		// Admit newly released jobs into the EDF active set; Released's
-		// predicate is release ≤ now + Tol, which is prefix-closed over
-		// the release-sorted view, so a cursor replaces the rescan.
-		for cursor < len(rt.byRel) && rt.byRel[cursor].Task.Release <= now+schedule.Tol {
-			j := rt.byRel[cursor]
-			cursor++
-			if !j.Done {
-				rt.insertActive(j)
-			}
-		}
-		rt.sweepDone()
-		if len(rt.active) == 0 {
-			continue
-		}
-		if err := rt.step(pool, busy, now, next, opts); err != nil {
-			return nil, err
+// Replan solves the common-release instance formed by the unfinished
+// jobs among jobs released by now (up to Tol) — remaining workloads,
+// original deadlines — and returns their plans in EDF order. It is the
+// arrival loop's planner, exported so the resilient runtime's recovery
+// chain can re-plan mid-execution after a fault. Infeasibility surfaces
+// as an error wrapping schedule.ErrInfeasible. Every call solves afresh:
+// the plan-delta memo serves consecutive arrivals of one loop, and a
+// recovery's telemetry counts one full solve per re-plan.
+func (rt *Runtime) Replan(jobs []*sim.Job, now float64, sys power.System, opts Options) ([]Plan, error) {
+	rt.memoOK = false
+	rt.active = rt.active[:0]
+	for _, j := range jobs {
+		if !j.Done && j.Task.Release <= now+schedule.Tol {
+			rt.insertActive(j)
 		}
 	}
-	return pool.Finish()
+	if len(rt.active) == 0 {
+		return nil, nil
+	}
+	plans, _, err := rt.plan(now, math.Inf(1), sys, opts)
+	return plans, err
 }
 
 // reset clears all per-run state while keeping the backing buffers.
@@ -130,7 +113,7 @@ func (rt *Runtime) reset() {
 
 // insertActive inserts j into the (deadline, ID)-ordered active set.
 // The key is a total order (IDs are unique), so the resulting sequence
-// is exactly what Released's stable EDF sort produces.
+// is exactly what a stable EDF sort of the released jobs produces.
 func (rt *Runtime) insertActive(j *sim.Job) {
 	lo, hi := 0, len(rt.active)
 	for lo < hi {
@@ -166,16 +149,20 @@ func (rt *Runtime) sweepDone() {
 	rt.active = rt.active[:w]
 }
 
-// step re-plans the active set at now and executes until next. It is the
-// incremental counterpart of the legacy step + PlanAt pair and mirrors
-// their float evaluation order exactly.
+// plan re-plans the active set at now — all unfinished work as one
+// common-release instance, solved with the §4 schemes — and returns the
+// per-job plans in EDF order plus the wake time: the earliest latest
+// execution point d_j − p_j over the planned jobs (now itself when any job
+// is urgent or procrastination is disabled). When the sleep certificate
+// proves every start lands at or past next it skips the solve and returns
+// no plans with wake = next. It mirrors the float evaluation order of the
+// full-rescan reference exactly.
 //
 //sdem:hotpath
-func (rt *Runtime) step(pool runner, busy []float64, now, next float64, opts Options) error {
+func (rt *Runtime) plan(now, next float64, sys power.System, opts Options) ([]Plan, float64, error) {
 	tel := opts.Telemetry
 	tel.Count("sdem.solver.online.plans", 1)
 	tel.Observe("sdem.solver.online.active_jobs", float64(len(rt.active)))
-	sys := pool.System()
 	planSys := sys
 	if opts.PlanAlphaZero {
 		planSys.Core.Static = 0
@@ -188,7 +175,7 @@ func (rt *Runtime) step(pool runner, busy []float64, now, next float64, opts Opt
 		window := j.Task.Deadline - now
 		if window <= 0 || (sys.Core.SpeedMax > 0 && j.Remaining/window > sys.Core.SpeedMax) {
 			// Already beyond salvation at a stretched speed: race
-			// immediately; the pool records the miss if it is one.
+			// immediately; the executor records the miss if it is one.
 			//lint:allow hotalloc: appends into the reused urgent backing; it grows only to the run's high-water urgent count
 			rt.urgent = append(rt.urgent, j)
 			continue
@@ -204,16 +191,16 @@ func (rt *Runtime) step(pool runner, busy []float64, now, next float64, opts Opt
 	}
 
 	if len(rt.urgent) == 0 && !opts.NoProcrastinate && rt.certifySleep(now, next, sys, planSys) {
-		// The certificate proves the legacy path would compute
-		// wake ≥ next and execute nothing: sleep through to the next
-		// arrival without solving.
+		// The certificate proves a full solve would compute wake ≥ next
+		// and execute nothing: sleep through to the next arrival without
+		// solving.
 		tel.Count("sdem.solver.online.skipped_solves", 1)
 		if tel != nil {
 			tel.Instant("sleep-certificate", "online", now, 0,
 				telemetry.Int("active", int64(len(rt.active))),
 				telemetry.Num("until", next))
 		}
-		return nil
+		return nil, next, nil
 	}
 
 	plans := rt.plans[:0]
@@ -221,11 +208,11 @@ func (rt *Runtime) step(pool runner, busy []float64, now, next float64, opts Opt
 	if len(rt.virtual) > 0 {
 		ends, err := rt.planEnds(now, planSys, tel)
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
 		for i, vt := range rt.virtual {
-			// Replay the legacy build + Normalize + ends-map extraction
-			// bit-for-bit: the task's segment is [now, now+endRel], kept
+			// Replay the reference build + Normalize + ends-map
+			// extraction bit-for-bit: the task's segment is [now, now+endRel], kept
 			// only when its float duration exceeds Tol/10, and a task
 			// with no kept segment reads 0 from the ends map.
 			var endAbs float64
@@ -239,17 +226,23 @@ func (rt *Runtime) step(pool runner, busy []float64, now, next float64, opts Opt
 				p = vt.Workload / raceSpeed(vt.Workload, vt.Release, vt.Deadline, now, sys)
 			}
 			//lint:allow hotalloc: appends into the reused plans backing
-			plans = append(plans, plan{job: rt.vjobs[i], p: p, speed: vt.Workload / p})
+			plans = append(plans, Plan{Job: rt.vjobs[i], P: p, Speed: vt.Workload / p})
 			wake = math.Min(wake, vt.Deadline-p)
 		}
 	}
 	for _, j := range rt.urgent {
 		s := raceSpeed(j.Remaining, j.Task.Release, j.Task.Deadline, now, sys)
 		//lint:allow hotalloc: appends into the reused plans backing
-		plans = append(plans, plan{job: j, p: j.Remaining / s, speed: s})
+		plans = append(plans, Plan{Job: j, P: j.Remaining / s, Speed: s, Urgent: true})
 		wake = now
 	}
 	rt.plans = plans
+	if len(rt.virtual) > 0 && len(rt.urgent) > 0 {
+		// Each run is already EDF (both come from the active set); only
+		// their concatenation needs sorting. Sorting the retained field
+		// keeps the sort.Interface conversion off the heap.
+		sort.Stable((*plansEDF)(&rt.plans))
+	}
 	tel.Count("sdem.solver.online.urgent_jobs", int64(len(rt.urgent)))
 	if wake < now {
 		wake = now
@@ -264,14 +257,11 @@ func (rt *Runtime) step(pool runner, busy []float64, now, next float64, opts Opt
 	if opts.NoProcrastinate {
 		wake = now
 	}
-	if wake >= next {
-		return nil // keep sleeping; the next arrival re-plans
-	}
-	return execute(pool, busy, plans, wake, next)
+	return rt.plans, wake, nil
 }
 
 // certifySleep reports whether, without solving, every planned start is
-// provably at or past next, so the legacy planner would execute nothing
+// provably at or past next, so a full solve would execute nothing
 // before the next arrival. Soundness: any plan's execution time p is
 // either (now + endRel) − now for some endRel ≤ max natural completion
 // (the busy length never exceeds it, and float addition/subtraction of a

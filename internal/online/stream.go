@@ -47,33 +47,35 @@ type StreamOptions struct {
 	Ctx context.Context
 }
 
-// arrivalHeap reorders perturbed arrivals by (release, ID): a late-release
-// fault can push a job past later upstream arrivals, and the engine must
-// still admit in time order. Delays are bounded by each job's window, so
+// arrivalHeap reorders perturbed arrivals by (release, deadline, ID): a
+// late-release fault can push a job past later upstream arrivals, and the
+// engine must still admit in time order. Ties break like
+// task.Set.SortByRelease, so a recording run keeps its jobs — and reports
+// its misses — in release order. Delays are bounded by each job's window, so
 // the heap stays as small as the overlap — O(active), never O(stream).
 //
 // It is a hand-rolled typed binary heap rather than a container/heap
 // implementation: heap.Push and heap.Pop traffic in `any`, which boxes
-// every taskArrival on push AND on pop — two heap allocations per
+// every task on push AND on pop — two heap allocations per
 // arrival on the engine's hottest path. The typed min-heap keeps the
-// identical (release, ID) order with zero allocations past the backing
+// identical order with zero allocations past the backing
 // array's high-water growth.
-type arrivalHeap []taskArrival
-
-type taskArrival struct {
-	t task.Task
-}
+type arrivalHeap []task.Task
 
 func (h arrivalHeap) less(i, j int) bool {
+	a, b := &h[i], &h[j]
 	//lint:allow floatcmp: heap ordering must be exact to stay deterministic
-	if h[i].t.Release != h[j].t.Release {
-		return h[i].t.Release < h[j].t.Release
+	if a.Release != b.Release {
+		return a.Release < b.Release
 	}
-	return h[i].t.ID < h[j].t.ID
+	if a.Deadline < b.Deadline || b.Deadline < a.Deadline {
+		return a.Deadline < b.Deadline
+	}
+	return a.ID < b.ID
 }
 
 // push inserts a and restores the heap invariant (sift-up).
-func (h *arrivalHeap) push(a taskArrival) {
+func (h *arrivalHeap) push(a task.Task) {
 	//lint:allow hotalloc: appends into the reused heap backing; it grows to the high-water overlap size once
 	*h = append(*h, a)
 	s := *h
@@ -88,12 +90,12 @@ func (h *arrivalHeap) push(a taskArrival) {
 }
 
 // pop removes and returns the minimum element (sift-down).
-func (h *arrivalHeap) pop() taskArrival {
+func (h *arrivalHeap) pop() task.Task {
 	s := *h
 	n := len(s) - 1
 	top := s[0]
 	s[0] = s[n]
-	s[n] = taskArrival{}
+	s[n] = task.Task{}
 	*h = s[:n]
 	s = s[:n]
 	for i := 0; ; {
@@ -114,13 +116,28 @@ func (h *arrivalHeap) pop() taskArrival {
 	return top
 }
 
+// setSource is the in-memory workload.Source of a batch run: the task
+// set in release order.
+type setSource struct {
+	tasks task.Set
+	next  int
+}
+
+func (s *setSource) Next() (task.Task, bool) {
+	if s.next == len(s.tasks) {
+		return task.Task{}, false
+	}
+	s.next++
+	return s.tasks[s.next-1], true
+}
+
 // ScheduleStream runs the incremental SDEM-ON engine over an unbounded
 // arrival source in O(active-set) memory: jobs are admitted from the
-// source one arrival at a time, planned with the same per-arrival
-// machinery as Schedule, executed into a sim.Stream whose meter accounts
-// energy incrementally, and retired on completion. This is the soak
-// engine — days of virtual time under fault injection with live
-// telemetry, no materialized task set or schedule.
+// source one arrival at a time, planned and executed by the same arrival
+// loop as Schedule into a metering sim.Executor that accounts energy
+// incrementally, and retired on completion. This is the soak engine —
+// days of virtual time under fault injection with live telemetry, no
+// materialized task set or schedule.
 func ScheduleStream(src workload.Source, sys power.System, opts StreamOptions) (*sim.StreamSummary, error) {
 	var rt Runtime
 	return rt.RunStream(src, sys, opts)
@@ -129,16 +146,11 @@ func ScheduleStream(src workload.Source, sys power.System, opts StreamOptions) (
 // RunStream is ScheduleStream on a retained Runtime (see Schedule vs
 // Runtime.Schedule).
 func (rt *Runtime) RunStream(src workload.Source, sys power.System, opts StreamOptions) (*sim.StreamSummary, error) {
-	st, err := sim.NewStream(sys, opts.Cores)
+	ex, err := sim.NewStream(sys, opts.Cores)
 	if err != nil {
 		return nil, err
 	}
-	who := "sdem-on"
-	if opts.PlanAlphaZero {
-		who = "sdem-on-z"
-	}
-	tel := opts.Telemetry
-	st.SetTelemetry(tel, who)
+	ex.SetTelemetry(opts.Telemetry, scheduler(opts.PlanAlphaZero))
 	// A miss is explained when the job itself was perturbed (replayed
 	// from its deterministic fault draw) or when the executor squeezed it
 	// behind a full machine — a queueing consequence of overload bursts
@@ -149,17 +161,40 @@ func (rt *Runtime) RunStream(src workload.Source, sys power.System, opts StreamO
 	// never-squeezed job means the planner itself scheduled it wrong: an
 	// engine bug, and the soak gate fails on it.
 	fs := opts.Faults
-	st.SetMissClassifier(func(j *sim.Job) bool {
+	ex.SetMissClassifier(func(j *sim.Job) bool {
 		if j.Squeezed {
 			return true
 		}
 		return fs != nil && !fs.Sample(j.Task).None()
 	})
 	if opts.Series != nil {
-		st.SetRetireHook(func(_ *sim.Job, resp float64) {
+		ex.SetRetireHook(func(_ *sim.Job, resp float64) {
 			opts.Series.Observe("sdem.stream.response_s", resp)
 		})
 	}
+	if err := rt.drive(ex, src, opts); err != nil {
+		return nil, err
+	}
+	return ex.Finish(), nil
+}
+
+// scheduler names the engine variant in the executor's "sched" label.
+func scheduler(planAlphaZero bool) string {
+	if planAlphaZero {
+		return "sdem-on-z"
+	}
+	return "sdem-on"
+}
+
+// drive is SDEM-ON's arrival loop, shared by batch and streaming runs:
+// pull arrivals from src (perturbed by opts.Faults and reordered by
+// release), admit each planning instant's arrivals into ex, re-plan the
+// active set and execute until the next arrival. A recording executor
+// keeps the whole run for an audit; a metering one retires jobs as they
+// complete and is sealed at every batch boundary.
+func (rt *Runtime) drive(ex *sim.Executor, src workload.Source, opts StreamOptions) error {
+	tel := opts.Telemetry
+	sys := ex.System()
 	// Windowed energy-per-job observations accumulate between batch
 	// seals: the sketch sees the mean energy of each batch's newly
 	// completed jobs.
@@ -167,39 +202,33 @@ func (rt *Runtime) RunStream(src workload.Source, sys power.System, opts StreamO
 	var meteredN int64
 
 	rt.reset()
-	if cap(rt.busyUntil) < opts.Cores {
-		rt.busyUntil = make([]float64, opts.Cores)
+	cores := ex.Cores()
+	if cap(rt.busyUntil) < cores {
+		rt.busyUntil = make([]float64, cores)
 	}
-	busy := rt.busyUntil[:opts.Cores]
-	for i := range busy {
-		busy[i] = 0
-	}
+	busy := rt.busyUntil[:cores]
+	clear(busy)
 
-	stepOpts := Options{
-		Cores:           opts.Cores,
+	planOpts := Options{
 		NoProcrastinate: opts.NoProcrastinate,
 		PlanAlphaZero:   opts.PlanAlphaZero,
 		Telemetry:       tel,
 	}
 
 	var (
-		pending   arrivalHeap
-		upstream  task.Task
-		hasUp     bool
-		drawn     int64
-		started   bool
-		first     float64
-		maxDL     float64
-		exhausted bool
-		arrival   int64
+		pending arrivalHeap
+		drawn   int64
+		started bool
+		first   float64
+		arrival int64
 	)
-	perturb := func(t task.Task) taskArrival {
+	perturb := func(t task.Task) task.Task {
 		if opts.Faults == nil {
-			return taskArrival{t: t}
+			return t
 		}
 		f := opts.Faults.Sample(t)
 		if f.None() {
-			return taskArrival{t: t}
+			return t
 		}
 		t.Workload *= f.WorkFactor
 		t.Release += f.ReleaseDelay
@@ -209,73 +238,56 @@ func (rt *Runtime) RunStream(src workload.Source, sys power.System, opts StreamO
 			// urgent path and counts as an explained miss.
 			t.Release = t.Deadline - schedule.Tol
 		}
-		return taskArrival{t: t}
-	}
-	pull := func() {
-		if exhausted {
-			return
-		}
-		t, ok := src.Next()
-		if !ok {
-			exhausted = true
-			hasUp = false
-			return
-		}
-		upstream, hasUp = t, true
-	}
-	admissionOver := func(rel float64) bool {
-		if opts.MaxJobs > 0 && drawn >= opts.MaxJobs {
-			return true
-		}
-		return started && opts.MaxVirtual > 0 && rel-first > opts.MaxVirtual
+		return t
 	}
 
-	pull()
+	upstream, hasUp := src.Next()
 	for {
+		// Cooperative cancellation checkpoint, once per arrival: the
+		// per-arrival re-plan below is the expensive unit of work.
 		if opts.Ctx != nil {
 			if err := opts.Ctx.Err(); err != nil {
-				return nil, fmt.Errorf("online: stream cancelled at arrival %d: %w", arrival, err)
+				return fmt.Errorf("online: cancelled at arrival %d: %w", arrival, err)
 			}
 		}
 		// Feed the reorder heap until its minimum is safe to emit: once
 		// the upstream release passes the heap minimum, no future task —
-		// delays are non-negative — can arrive earlier.
-		for hasUp && (len(pending) == 0 || upstream.Release <= pending[0].t.Release) {
-			if admissionOver(upstream.Release) {
+		// delays are non-negative — can arrive earlier. Admission ends for
+		// good at the job or virtual-time bound.
+		for hasUp && (len(pending) == 0 || upstream.Release <= pending[0].Release) {
+			if opts.MaxJobs > 0 && drawn >= opts.MaxJobs ||
+				started && opts.MaxVirtual > 0 && upstream.Release-first > opts.MaxVirtual {
 				hasUp = false
-				exhausted = true
 				break
 			}
 			pending.push(perturb(upstream))
 			drawn++
-			pull()
+			upstream, hasUp = src.Next()
 		}
-		if len(pending) == 0 && st.Active() == 0 {
+		if len(pending) == 0 && ex.Active() == 0 {
 			break // drained: no arrivals left and nothing running
 		}
 
 		// The next planning instant: the earliest pending arrival, or a
 		// final drain pass over whatever is still active.
-		now := math.Inf(1)
+		now := ex.Now()
 		if len(pending) > 0 {
-			now = pending[0].t.Release
-		} else {
-			now = st.Now()
+			now = pending[0].Release
 		}
 		opts.Series.Advance(now)
-		for len(pending) > 0 && pending[0].t.Release <= now+schedule.Tol {
-			a := pending.pop()
-			j, err := st.Admit(a.t)
+		for len(pending) > 0 && pending[0].Release <= now+schedule.Tol {
+			t := pending.pop()
+			if err := t.Validate(); err != nil {
+				return fmt.Errorf("online: admitting task %d: %w", t.ID, err)
+			}
+			j, err := ex.Admit(t)
 			if err != nil {
-				return nil, fmt.Errorf("online: admitting task %d: %w", a.t.ID, err)
+				return fmt.Errorf("online: admitting task %d: %w", t.ID, err)
 			}
 			arrival++
 			if !started {
 				started = true
-				first = a.t.Release
-			}
-			if a.t.Deadline > maxDL {
-				maxDL = a.t.Deadline
+				first = t.Release
 			}
 			if !j.Done {
 				rt.insertActive(j)
@@ -283,37 +295,40 @@ func (rt *Runtime) RunStream(src workload.Source, sys power.System, opts StreamO
 		}
 		next := math.Inf(1)
 		if len(pending) > 0 {
-			next = pending[0].t.Release
+			next = pending[0].Release
 		} else if hasUp {
 			next = upstream.Release
 		}
-		rt.sweepDone()
 		if len(rt.active) > 0 {
-			if err := rt.step(st, busy, now, next, stepOpts); err != nil {
-				return nil, err
+			plans, wake, err := rt.plan(now, next, sys, planOpts)
+			if err != nil {
+				return err
 			}
+			if wake < next {
+				if err := execute(ex, busy, plans, wake, next); err != nil {
+					return err
+				}
+			}
+			// A metering executor recycles completed jobs at admission:
+			// none may stay behind in the active set.
 			rt.sweepDone()
 		}
-		st.Seal(next)
-		if tel != nil {
-			tel.Gauge("sdem.solver.online.stream_virtual_s", st.Now()-first)
+		ex.Seal(next)
+		if tel != nil && !ex.Recording() {
+			tel.Gauge("sdem.solver.online.stream_virtual_s", ex.Now()-first)
 		}
 		if opts.Series != nil {
-			if e, n := st.EnergySoFar(), st.Completed(); n > meteredN {
+			if e, n := ex.EnergySoFar(), ex.Completed(); n > meteredN {
 				opts.Series.Observe("sdem.stream.energy_per_job_j", (e-meteredE)/float64(n-meteredN))
 				meteredE, meteredN = e, n
 			}
 		}
-		if math.IsInf(next, 1) && len(rt.active) > 0 {
-			// Final drain executed everything plannable; anything still
-			// active is unschedulable (zero window at +Inf horizon) and
-			// retires as a miss in Finish.
-			break
-		}
-		if math.IsInf(next, 1) && len(pending) == 0 && !hasUp && st.Active() == 0 {
+		if math.IsInf(next, 1) {
+			// No arrival left: the pass executed everything plannable;
+			// anything still active is unschedulable (zero window at +Inf
+			// horizon) and retires as a miss at the end of the run.
 			break
 		}
 	}
-	end := math.Max(maxDL, st.Now())
-	return st.Finish(end), nil
+	return nil
 }

@@ -37,9 +37,10 @@ type wakeStall struct {
 
 // executor drives one fault-perturbed replay.
 type executor struct {
-	input   *schedule.Schedule
 	tasks   task.Set
-	pool    *sim.Pool
+	ex      *sim.Executor
+	jobs    []*sim.Job // every job, in release order
+	rt      online.Runtime
 	pol     Policy
 	plan    faults.Plan
 	events  []event // pending, sorted by (start, core, taskID)
@@ -68,20 +69,52 @@ func newExecutor(sched *schedule.Schedule, tasks task.Set, sys power.System, pla
 	if cores == 0 && len(tasks) > 0 {
 		cores = len(tasks)
 	}
-	pool, err := sim.NewPool(tasks, sys, cores)
+	if err := tasks.Validate(); err != nil {
+		return nil, fmt.Errorf("resilient: %w", err)
+	}
+	// The run's task copy carries the pre-run faults: WCET misestimation
+	// scales a job's workload, a late arrival postpones its release (the
+	// deadline is unchanged). Jobs are admitted in the unperturbed release
+	// order, so misses are reported in it.
+	run := tasks.Clone()
+	run.SortByRelease()
+	index := make(map[int]int, len(run))
+	for i, t := range run {
+		index[t.ID] = i
+	}
+	for _, f := range plan.Faults {
+		i, ok := index[f.TaskID]
+		if !ok {
+			continue // targeting a task absent from this set is a no-op
+		}
+		switch f.Kind {
+		case faults.Overrun:
+			run[i].Workload *= f.Factor
+		case faults.LateRelease:
+			run[i].Release += f.Delay
+		}
+	}
+	// The replay is accounted over the input's horizon and under its
+	// sleep policies, so idle and sleep intervals match the schedule it
+	// replays.
+	start, end := tasks.Span()
+	if sched.End > sched.Start {
+		start, end = sched.Start, sched.End
+	}
+	rec := schedule.New(cores, start, end)
+	rec.CorePolicy, rec.MemoryPolicy = sched.CorePolicy, sched.MemoryPolicy
+	ex, err := sim.NewRecording(sys, rec, len(run))
 	if err != nil {
 		return nil, fmt.Errorf("resilient: %w", err)
 	}
-	pool.SetHorizon(sched.Start, sched.End)
-	pool.SetPolicies(sched.CorePolicy, sched.MemoryPolicy)
-	pool.SetTelemetry(pol.Telemetry, "resilient")
+	ex.SetTelemetry(pol.Telemetry, "resilient")
 	e := &executor{
-		input:      sched,
 		tasks:      tasks,
-		pool:       pool,
+		ex:         ex,
+		jobs:       make([]*sim.Job, 0, len(run)),
 		pol:        pol,
 		plan:       plan,
-		coreNow:    make([]float64, pool.Cores()),
+		coreNow:    make([]float64, cores),
 		recoveries: make(map[int]int),
 		threatened: make(map[int]bool),
 		planned:    plannedMisses(sched, tasks),
@@ -89,29 +122,18 @@ func newExecutor(sched *schedule.Schedule, tasks task.Set, sys power.System, pla
 	for i := range e.coreNow {
 		e.coreNow[i] = sched.Start
 	}
-
-	// Apply the pre-run faults and install the execution-time ones.
-	for _, f := range plan.ByKind(faults.Overrun) {
-		if pool.Job(f.TaskID) == nil {
-			continue // targeting a task absent from this set is a no-op
-		}
-		if err := pool.ScaleWorkload(f.TaskID, f.Factor); err != nil {
+	for _, t := range run {
+		j, err := ex.Admit(t)
+		if err != nil {
 			return nil, fmt.Errorf("resilient: %w", err)
 		}
-	}
-	for _, f := range plan.ByKind(faults.LateRelease) {
-		if pool.Job(f.TaskID) == nil {
-			continue
-		}
-		if err := pool.DelayRelease(f.TaskID, f.Delay); err != nil {
-			return nil, fmt.Errorf("resilient: %w", err)
-		}
+		e.jobs = append(e.jobs, j)
 	}
 	e.caps = plan.ByKind(faults.SpeedCap)
 	if len(e.caps) > 0 {
 		smax := sys.Core.SpeedMax
 		caps := e.caps
-		pool.SetSpeedLimiter(func(core int, t0, t1, speed float64) float64 {
+		ex.SetSpeedLimiter(func(core int, t0, t1, speed float64) float64 {
 			s := speed
 			for _, c := range caps {
 				if c.Core == core && t0 < c.Until-schedule.Tol && t1 > c.At+schedule.Tol {
@@ -206,7 +228,7 @@ func (e *executor) push(ev event) {
 // cancelFuture removes all pending events of the job and returns the core
 // energy their execution would have cost (for the recovery audit).
 func (e *executor) cancelFuture(taskID int) float64 {
-	core := e.pool.System().Core
+	core := e.ex.System().Core
 	var cost float64
 	out := e.events[:0]
 	for _, ev := range e.events {
@@ -233,7 +255,7 @@ func (e *executor) futureCapacity(taskID int) float64 {
 
 // effectiveMax mirrors online.effectiveMax: s_up, or effectively unbounded.
 func (e *executor) effectiveMax() float64 {
-	if s := e.pool.System().Core.SpeedMax; s > 0 {
+	if s := e.ex.System().Core.SpeedMax; s > 0 {
 		return s
 	}
 	return 1e12
@@ -245,7 +267,7 @@ func (e *executor) run() (*Result, error) {
 	for len(e.events) > 0 {
 		ev := e.events[0]
 		e.events = e.events[1:]
-		j := e.pool.Job(ev.taskID)
+		j := e.ex.Job(ev.taskID)
 		if j == nil {
 			return nil, fmt.Errorf("resilient: schedule references unknown task %d: %w", ev.taskID, schedule.ErrInfeasible)
 		}
@@ -278,7 +300,7 @@ func (e *executor) run() (*Result, error) {
 			sliceEnd = ev.end
 		}
 
-		actual, err := e.pool.Run(ev.taskID, ev.core, start, sliceEnd, ev.speed)
+		actual, err := e.ex.Run(ev.taskID, ev.core, start, sliceEnd, ev.speed)
 		if err != nil {
 			return nil, fmt.Errorf("resilient: replay: %w", err)
 		}
@@ -294,7 +316,7 @@ func (e *executor) run() (*Result, error) {
 			e.check(j, actual)
 		}
 	}
-	return e.finish()
+	return e.finish(), nil
 }
 
 // nextCapBoundary returns the earliest speed-cap interval edge on the
@@ -328,7 +350,7 @@ func (e *executor) check(j *sim.Job, now float64) {
 	e.threatened[id] = true
 	if !e.pol.anyRecovery() {
 		// Pure replay: the shortfall plays out and the miss is recorded
-		// by the pool at Finish.
+		// by the executor's audit.
 		return
 	}
 	if e.recoveries[id] >= e.pol.MaxRecoveries {
@@ -361,7 +383,7 @@ func (e *executor) logRecovery(r Recovery) {
 // recover walks the chain: boost, re-plan, race.
 func (e *executor) recover(j *sim.Job, now float64) {
 	id := j.Task.ID
-	sys := e.pool.System()
+	sys := e.ex.System()
 	smax := e.effectiveMax()
 	reason := fmt.Sprintf("%.4g cycles beyond plan capacity", j.Remaining-e.futureCapacity(id))
 
@@ -444,46 +466,30 @@ func (e *executor) placement(j *sim.Job, now float64) (int, float64) {
 // affected jobs' pending events for the new plan. Returns false when the
 // re-plan is infeasible or does not save the triggering job.
 func (e *executor) replan(trigger *sim.Job, now float64, reason string) bool {
-	active := e.pool.Released(now)
-	if len(active) == 0 {
-		return false
-	}
-	opts := online.Options{Cores: e.pool.Cores(), PlanAlphaZero: e.pol.PlanAlphaZero, Telemetry: e.pol.Telemetry}
-	plans, _, err := online.PlanAt(e.pool, active, now, opts)
-	if err != nil {
-		return false // wraps schedule.ErrInfeasible: no schedule can help
+	opts := online.Options{PlanAlphaZero: e.pol.PlanAlphaZero, Telemetry: e.pol.Telemetry}
+	plans, err := e.rt.Replan(e.jobs, now, e.ex.System(), opts)
+	if err != nil || len(plans) == 0 {
+		return false // an error wraps schedule.ErrInfeasible: no schedule can help
 	}
 	for _, pl := range plans {
-		if pl.TaskID == trigger.Task.ID && pl.Urgent {
+		if pl.Job == trigger && pl.Urgent {
 			// The trigger is beyond any stretched-speed plan; do not
 			// disturb the other jobs — racing is the only option left.
 			return false
 		}
 	}
-	sys := e.pool.System()
+	sys := e.ex.System()
 
 	// EDF layout of the new plans onto the cores, respecting pins.
-	byID := make(map[int]*sim.Job, len(active))
-	for _, j := range active {
-		byID[j.Task.ID] = j
-	}
-	sort.SliceStable(plans, func(a, b int) bool {
-		da, db := byID[plans[a].TaskID].Task.Deadline, byID[plans[b].TaskID].Task.Deadline
-		//lint:allow floatcmp: sort tie-breaking must be exact to keep the comparator transitive
-		if da != db {
-			return da < db
-		}
-		return plans[a].TaskID < plans[b].TaskID
-	})
 	var cancelled, newCost float64
 	for _, pl := range plans {
-		cancelled += e.cancelFuture(pl.TaskID)
+		cancelled += e.cancelFuture(pl.Job.Task.ID)
 	}
 	busy := make([]float64, len(e.coreNow))
 	copy(busy, e.coreNow)
 	triggerOK := false
 	for _, pl := range plans {
-		j := byID[pl.TaskID]
+		j := pl.Job
 		core := j.Core
 		if core < 0 {
 			core = 0
@@ -496,12 +502,12 @@ func (e *executor) replan(trigger *sim.Job, now float64, reason string) bool {
 		start := math.Max(now, busy[core])
 		start = math.Max(start, j.Task.Release)
 		start = e.stallAdjust(start)
-		ev := event{taskID: pl.TaskID, core: core, start: start, end: start + pl.P, speed: pl.Speed}
+		ev := event{taskID: j.Task.ID, core: core, start: start, end: start + pl.P, speed: pl.Speed}
 		ev.quantum = (ev.end - ev.start) / float64(e.pol.Checkpoints)
 		e.push(ev)
 		busy[core] = ev.end
 		newCost += sys.Core.EnergyFor(j.Remaining, pl.Speed)
-		if pl.TaskID == trigger.Task.ID {
+		if j == trigger {
 			triggerOK = ev.end <= j.Task.Deadline+schedule.Tol
 		}
 	}
@@ -514,11 +520,8 @@ func (e *executor) replan(trigger *sim.Job, now float64, reason string) bool {
 }
 
 // finish wraps up: audit, miss classification, fault energy extras.
-func (e *executor) finish() (*Result, error) {
-	simRes, err := e.pool.Finish()
-	if err != nil {
-		return nil, err
-	}
+func (e *executor) finish() *Result {
+	simRes := e.ex.Result()
 	if !e.plan.Empty() {
 		// Recombine the checkpoint slices; never touch a fault-free
 		// replay, which must reproduce the input segments verbatim.
@@ -548,7 +551,7 @@ func (e *executor) finish() (*Result, error) {
 	}
 	sort.Ints(averted)
 	for _, id := range averted {
-		j := e.pool.Job(id)
+		j := e.ex.Job(id)
 		res.Averted = append(res.Averted, schedule.Miss{
 			TaskID:      id,
 			Deadline:    j.Task.Deadline,
@@ -558,7 +561,7 @@ func (e *executor) finish() (*Result, error) {
 		})
 	}
 
-	mem := e.pool.System().Memory
+	mem := e.ex.System().Memory
 	for _, s := range e.stalls {
 		res.WakeStallEnergy += mem.Static * s.delay
 	}
@@ -570,7 +573,7 @@ func (e *executor) finish() (*Result, error) {
 	tel.Count("sdem.resilient.averted", int64(len(res.Averted)))
 	tel.Add("sdem.resilient.wake_stall_j", res.WakeStallEnergy)
 	tel.Add("sdem.resilient.spurious_wake_j", res.SpuriousWakeEnergy)
-	return res, nil
+	return res
 }
 
 // spuriousEnergy charges each spurious wake that lands in a gap the final
@@ -582,7 +585,7 @@ func (e *executor) spuriousEnergy(s *schedule.Schedule) float64 {
 	if len(sw) == 0 {
 		return 0
 	}
-	mem := e.pool.System().Memory
+	mem := e.ex.System().Memory
 	sleeps := sleepGaps(s, mem.BreakEven)
 	var total float64
 	for _, f := range sw {

@@ -72,9 +72,9 @@ func FuzzExecute(f *testing.F) {
 			t.Fatalf("negative fault energy: spurious %g stall %g", res.SpuriousWakeEnergy, res.WakeStallEnergy)
 		}
 
-		// Every miss the pool recorded is classified exactly once.
+		// Every miss the executor recorded is classified exactly once.
 		if got, want := len(res.PlannedMisses)+len(res.FaultMisses), len(res.Sim.Misses); got != want {
-			t.Fatalf("%d misses classified, pool recorded %d", got, want)
+			t.Fatalf("%d misses classified, executor recorded %d", got, want)
 		}
 		for _, m := range append(append([]schedule.Miss{}, res.PlannedMisses...), res.FaultMisses...) {
 			if m.Lateness <= 0 && m.Remaining <= 0 {

@@ -1,17 +1,21 @@
 // Package sim provides the online-scheduling substrate shared by the
-// SDEM-ON heuristic and the baseline policies: a job pool that tracks
-// remaining workloads as segments are emitted, detects completions and
-// deadline misses, and assembles the final schedule for auditing.
+// SDEM-ON heuristic, the baseline policies and the resilient runtime:
+// one executor that admits jobs, executes the segments a policy emits
+// (tracking remaining workloads, completions and deadline misses), and
+// retires finished jobs.
 //
-// Policies drive the pool through Run calls; the pool owns all
-// bookkeeping so that every policy's output is validated by the same
-// machinery.
+// An executor runs in one of two modes, fixed at construction. A
+// recording run (NewRecording) keeps every job and appends every segment
+// to a caller-given schedule, which Result audits — the bounded batch
+// runs. A metering run (NewStream) retires jobs as soon as they complete
+// and accounts energy incrementally with a schedule.Meter, so days of
+// virtual time run in memory proportional to the peak active set.
+// Either way every policy's output is validated by the same machinery.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"sdem/internal/numeric"
 	"sdem/internal/power"
@@ -59,221 +63,234 @@ type Job struct {
 // segments at perturbation boundaries before calling Run.
 type SpeedLimiter func(core int, t0, t1, speed float64) float64
 
-// Pool tracks all jobs of an online run.
-type Pool struct {
+// Executor runs the jobs of one online run. The zero value is not
+// usable; call NewRecording or NewStream. An Executor is not safe for
+// concurrent use.
+type Executor struct {
 	sys     power.System
-	tasks   task.Set
-	jobs    map[int]*Job
-	order   []int // task IDs sorted by (release, deadline, ID)
-	sched   *schedule.Schedule
-	now     float64
+	cores   int
+	jobs    map[int]*Job // recording: every admitted job; metering: active jobs only
 	limiter SpeedLimiter
+	now     float64
+	started bool
+	start   float64
+	// maxDeadline is the latest admitted deadline: a metering run's
+	// horizon closes at max(maxDeadline, now).
+	maxDeadline float64
+	active      int // admitted, unfinished jobs
 
 	tel      *telemetry.Recorder
 	telLabel string
+
+	// Recording mode (sched != nil): every job is kept, in admission
+	// order, and every segment lands in sched.
+	sched *schedule.Schedule
+	kept  []*Job
+	slab  []Job // unused job storage: one allocation serves many jobs
+
+	// Metering mode (sched == nil): energy is accounted by meter, which
+	// opens at the first admitted release; completed jobs are recycled.
+	meter *schedule.Meter
+	free  []*Job
+
+	// classify, when non-nil, reports whether a missed job's miss is
+	// explained by an injected perturbation (the soak harness installs a
+	// fault-sampler closure); unexplained misses indicate engine bugs.
+	classify func(*Job) bool
+
+	// onRetire, when non-nil, observes every completed job as it retires
+	// (the windowed-series wiring feeds response-time sketches through
+	// it). The *Job is recycled immediately after the call returns and
+	// must not be retained.
+	onRetire func(j *Job, response float64)
+
+	// lastMetered tracks the high-water Running() energy already flushed
+	// to the sdem.sim.metered_j series at Seal boundaries.
+	lastMetered float64
+
+	admitted, completed     int64
+	missed, explainedMisses int64
+	maxActive               int
+	sumResp, maxResp        float64
+	sumLax                  float64
 }
 
-// NewPool prepares an online run over the task set. cores is the number
-// of physical cores (0 means one per task). The schedule horizon is
-// [earliest release, latest deadline].
-func NewPool(tasks task.Set, sys power.System, cores int) (*Pool, error) {
-	if err := tasks.Validate(); err != nil {
-		return nil, err
-	}
+// NewRecording prepares a recording run. Every admitted job is kept and
+// every executed segment is appended to sched, whose core count, horizon
+// and sleep policies the caller chooses; the horizon end still grows if
+// execution runs past it. jobs is a capacity hint for the number of
+// admissions.
+func NewRecording(sys power.System, sched *schedule.Schedule, jobs int) (*Executor, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
+	}
+	return &Executor{
+		sys:   sys,
+		cores: sched.NumCores,
+		jobs:  make(map[int]*Job, jobs),
+		now:   sched.Start,
+		sched: sched,
+		kept:  make([]*Job, 0, jobs),
+		slab:  make([]Job, jobs),
+	}, nil
+}
+
+// NewBatch prepares the recording run of a bounded task set: it validates
+// the set and spans the schedule over it on cores cores (0 = one per
+// task) under the default SleepBreakEven policies. It returns the set in
+// release order, the order to admit it in.
+func NewBatch(tasks task.Set, sys power.System, cores int) (*Executor, task.Set, error) {
+	if err := tasks.Validate(); err != nil {
+		return nil, nil, err
 	}
 	if cores <= 0 {
 		cores = len(tasks)
 	}
 	start, end := tasks.Span()
-	p := &Pool{
-		sys:   sys,
-		tasks: tasks.Clone(),
-		jobs:  make(map[int]*Job, len(tasks)),
-		sched: schedule.New(cores, start, end),
-		now:   start,
+	ex, err := NewRecording(sys, schedule.New(cores, start, end), len(tasks))
+	if err != nil {
+		return nil, nil, err
 	}
-	p.tasks.SortByRelease()
-	// One slab for every job of the run instead of a per-task allocation:
-	// the serve path builds a Pool per request, so construction cost is
-	// user-visible. The slab lives exactly as long as the jobs map.
-	slab := make([]Job, len(p.tasks))
-	p.order = make([]int, 0, len(p.tasks))
-	for i, t := range p.tasks {
-		slab[i] = Job{Task: t, Remaining: t.Workload, Core: -1, Done: numeric.IsZero(t.Workload, 0)}
-		p.jobs[t.ID] = &slab[i]
-		p.order = append(p.order, t.ID)
-	}
-	return p, nil
+	sorted := tasks.Clone()
+	sorted.SortByRelease()
+	return ex, sorted, nil
 }
 
-// Tasks returns the release-sorted task set of the run.
-func (p *Pool) Tasks() task.Set { return p.tasks }
+// NewStream prepares a metering run on cores physical cores. Energy is
+// metered under the SleepBreakEven policies (the SDEM convention).
+func NewStream(sys power.System, cores int) (*Executor, error) {
+	if err := sys.Validate(); err != nil {
+		return nil, err
+	}
+	if cores <= 0 {
+		return nil, fmt.Errorf("sim: streaming run needs an explicit core count, got %d", cores)
+	}
+	return &Executor{
+		sys:   sys,
+		cores: cores,
+		jobs:  make(map[int]*Job, 64),
+	}, nil
+}
+
+// Recording reports whether the executor keeps a schedule (NewRecording)
+// rather than a meter (NewStream).
+func (e *Executor) Recording() bool { return e.sched != nil }
 
 // System returns the platform model.
-func (p *Pool) System() power.System { return p.sys }
+func (e *Executor) System() power.System { return e.sys }
 
 // Cores returns the physical core count of the run.
-func (p *Pool) Cores() int { return p.sched.NumCores }
+func (e *Executor) Cores() int { return e.cores }
 
 // Now returns the latest time any segment has been emitted up to.
-func (p *Pool) Now() float64 { return p.now }
+func (e *Executor) Now() float64 { return e.now }
 
-// Job returns the job of the given task ID, or nil.
-func (p *Pool) Job(id int) *Job { return p.jobs[id] }
+// Active returns the number of admitted, unfinished jobs.
+func (e *Executor) Active() int { return e.active }
 
-// Unfinished returns the jobs not yet complete, in release order.
-func (p *Pool) Unfinished() []*Job {
-	var out []*Job
-	for _, id := range p.order {
-		if j := p.jobs[id]; !j.Done {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// Slack returns the laxity of the job at time t: the time to its deadline
-// minus the time needed to finish the remaining workload at the platform's
-// maximum speed. Negative slack means the deadline is no longer reachable
-// even by racing. An unbounded platform (SpeedMax = 0) has no workload
-// term. Unknown or completed jobs have +Inf slack.
-func (p *Pool) Slack(id int, t float64) float64 {
-	j, ok := p.jobs[id]
-	if !ok || j.Done {
-		return math.Inf(1)
-	}
-	slack := j.Task.Deadline - t
-	if p.sys.Core.SpeedMax > 0 {
-		slack -= j.Remaining / p.sys.Core.SpeedMax
-	}
-	return slack
-}
-
-// ScaleWorkload multiplies the job's remaining workload by factor — the
-// fault-injection hook for WCET misestimation (overrun for factor > 1,
-// underrun below). It must be applied before the job executes.
-func (p *Pool) ScaleWorkload(id int, factor float64) error {
-	j, ok := p.jobs[id]
-	switch {
-	case !ok:
-		return fmt.Errorf("sim: unknown task %d", id)
-	case factor < 0 || math.IsNaN(factor) || math.IsInf(factor, 0):
-		return fmt.Errorf("sim: bad workload factor %g for task %d", factor, id)
-	}
-	j.Remaining *= factor
-	j.Done = numeric.IsZero(j.Remaining, 0)
-	return nil
-}
-
-// DelayRelease postpones the job's effective release by dt ≥ 0 — the
-// fault-injection hook for late arrivals. The deadline is unchanged;
-// Released and Run honour the delayed release.
-func (p *Pool) DelayRelease(id int, dt float64) error {
-	j, ok := p.jobs[id]
-	switch {
-	case !ok:
-		return fmt.Errorf("sim: unknown task %d", id)
-	case dt < 0 || math.IsNaN(dt) || math.IsInf(dt, 0):
-		return fmt.Errorf("sim: bad release delay %g for task %d", dt, id)
-	}
-	j.Task.Release += dt
-	for i := range p.tasks {
-		if p.tasks[i].ID == id {
-			p.tasks[i].Release = j.Task.Release
-		}
-	}
-	return nil
-}
+// Job returns the job of the given task ID, or nil. A metering run
+// retires completed jobs, so only active ones are found there.
+func (e *Executor) Job(id int) *Job { return e.jobs[id] }
 
 // SetTelemetry attaches a telemetry recorder; who names the policy
-// driving the pool and becomes the "sched" label on every sdem.sim.*
-// metric (empty for unlabeled). A nil recorder disables instrumentation.
-func (p *Pool) SetTelemetry(tel *telemetry.Recorder, who string) {
-	p.tel = tel
-	p.telLabel = ""
+// driving the executor and becomes the "sched" label on every
+// sdem.sim.* metric (empty for unlabeled). A nil recorder disables
+// instrumentation.
+func (e *Executor) SetTelemetry(tel *telemetry.Recorder, who string) {
+	e.tel = tel
+	e.telLabel = ""
 	if who != "" {
-		p.telLabel = "sched=" + who
+		e.telLabel = "sched=" + who
 	}
 }
 
-// SetSpeedLimiter installs an execution-time speed perturbation applied to
-// every subsequent Run. A nil limiter removes it.
-func (p *Pool) SetSpeedLimiter(f SpeedLimiter) { p.limiter = f }
+// SetSpeedLimiter installs an execution-time speed perturbation applied
+// to every subsequent Run. A nil limiter removes it.
+func (e *Executor) SetSpeedLimiter(f SpeedLimiter) { e.limiter = f }
 
-// SetHorizon overrides the audit horizon of the assembled schedule. A
-// replay of an existing schedule uses this so idle and sleep intervals are
-// accounted over the same span as the input. End may still grow if
-// execution runs past it.
-func (p *Pool) SetHorizon(start, end float64) {
-	if end > start {
-		p.sched.Start, p.sched.End = start, end
-		if start > p.now {
-			p.now = start
+// SetMissClassifier installs the explained-miss predicate of a metering
+// run (see the classify field). It must be set before the first miss
+// retires.
+func (e *Executor) SetMissClassifier(f func(*Job) bool) { e.classify = f }
+
+// SetRetireHook installs the per-completion observer of a metering run
+// (see the onRetire field). A nil hook removes it.
+func (e *Executor) SetRetireHook(f func(j *Job, response float64)) { e.onRetire = f }
+
+// Completed returns the number of jobs a metering run retired so far.
+func (e *Executor) Completed() int64 { return e.completed }
+
+// EnergySoFar returns a metering run's running energy total — monotone
+// non-decreasing across Seal boundaries, 0 before the first admission.
+func (e *Executor) EnergySoFar() float64 {
+	if e.meter == nil {
+		return 0
+	}
+	return e.meter.Running()
+}
+
+// Admit registers a newly arrived task instance and returns its job. A
+// zero-workload task is born complete. Admit does not validate the task:
+// callers validate their inputs, and a fault-perturbed task whose
+// release was pushed past its deadline is still executable (it can only
+// miss).
+func (e *Executor) Admit(t task.Task) (*Job, error) {
+	if _, dup := e.jobs[t.ID]; dup {
+		return nil, fmt.Errorf("sim: duplicate active task ID %d", t.ID)
+	}
+	if !e.started {
+		e.started = true
+		e.start = t.Release
+		if e.sched == nil {
+			e.now = t.Release
+			e.meter = schedule.NewMeter(e.cores, t.Release, e.sys, schedule.SleepBreakEven, schedule.SleepBreakEven)
 		}
 	}
-}
-
-// SetPolicies sets the sleep policies the final audit uses, so a replay
-// is accounted under the same conventions as the schedule it replays.
-func (p *Pool) SetPolicies(core, mem schedule.SleepPolicy) {
-	p.sched.CorePolicy = core
-	p.sched.MemoryPolicy = mem
-}
-
-// ArrivalTimes returns the distinct release times in increasing order.
-func (p *Pool) ArrivalTimes() []float64 {
-	var out []float64
-	for _, t := range p.tasks {
-		if len(out) == 0 || t.Release > out[len(out)-1] {
-			out = append(out, t.Release)
+	if t.Deadline > e.maxDeadline {
+		e.maxDeadline = t.Deadline
+	}
+	j := e.newJob()
+	*j = Job{Task: t, Remaining: t.Workload, Core: -1, Done: numeric.IsZero(t.Workload, 0)}
+	if e.sched != nil {
+		e.jobs[t.ID] = j
+		e.kept = append(e.kept, j)
+		if !j.Done {
+			e.active++
 		}
+		return j, nil
 	}
-	return out
+	if j.Done {
+		e.free = append(e.free, j)
+		return j, nil
+	}
+	e.jobs[t.ID] = j
+	e.active++
+	e.admitted++
+	e.tel.CountL("sdem.sim.admitted", e.telLabel, 1)
+	if e.active > e.maxActive {
+		e.maxActive = e.active
+	}
+	return j, nil
 }
 
-// jobsEDF sorts jobs by deadline then task ID. The pointer receiver
-// avoids boxing a fresh slice header into sort.Interface on every
-// Released call (once per arrival on the online hot path).
-type jobsEDF []*Job
-
-func (s *jobsEDF) Len() int { return len(*s) }
-func (s *jobsEDF) Less(a, b int) bool {
-	js := *s
-	//lint:allow floatcmp: sort tie-breaking must be exact to keep the comparator transitive
-	if js[a].Task.Deadline != js[b].Task.Deadline {
-		return js[a].Task.Deadline < js[b].Task.Deadline
-	}
-	return js[a].Task.ID < js[b].Task.ID
-}
-func (s *jobsEDF) Swap(a, b int) { (*s)[a], (*s)[b] = (*s)[b], (*s)[a] }
-
-// JobsByRelease appends the run's jobs in (release, deadline, ID) order —
-// the order Released scans — to buf and returns it. The incremental
-// online engine walks this once with a release cursor instead of
-// rescanning the pool on every arrival. The order reflects the releases
-// at pool creation; DelayRelease does not re-sort it.
-func (p *Pool) JobsByRelease(buf []*Job) []*Job {
-	for _, id := range p.order {
-		buf = append(buf, p.jobs[id])
-	}
-	return buf
-}
-
-// Released returns the unfinished jobs with release ≤ t, by deadline
-// order (EDF). The result is freshly allocated — callers hold it across
-// a planning step — but sized up front so the append loop never regrows.
-func (p *Pool) Released(t float64) []*Job {
-	out := make([]*Job, 0, len(p.order))
-	for _, id := range p.order {
-		j := p.jobs[id]
-		if !j.Done && j.Task.Release <= t+schedule.Tol {
-			out = append(out, j)
+// newJob hands out job storage: a recycled job in a metering run, the
+// next slab slot in a recording run.
+func (e *Executor) newJob() *Job {
+	if e.sched != nil {
+		if len(e.slab) == 0 {
+			e.slab = make([]Job, len(e.kept)+1)
 		}
+		j := &e.slab[0]
+		e.slab = e.slab[1:]
+		return j
 	}
-	sort.Stable((*jobsEDF)(&out))
-	return out
+	if n := len(e.free); n > 0 {
+		j := e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+		return j
+	}
+	return &Job{} // recycled: allocation stops once the active set reaches its high-water size
 }
 
 // Run executes the job on the given core from t0 to t1 at the given
@@ -283,8 +300,8 @@ func (p *Pool) Released(t float64) []*Job {
 // planned segment of every online run lands here.
 //
 //sdem:hotpath
-func (p *Pool) Run(taskID, core int, t0, t1, speed float64) (float64, error) {
-	j, ok := p.jobs[taskID]
+func (e *Executor) Run(taskID, core int, t0, t1, speed float64) (float64, error) {
+	j, ok := e.jobs[taskID]
 	switch {
 	case !ok:
 		return 0, fmt.Errorf("sim: unknown task %d", taskID)
@@ -294,34 +311,44 @@ func (p *Pool) Run(taskID, core int, t0, t1, speed float64) (float64, error) {
 		return 0, fmt.Errorf("sim: bad segment [%g,%g] speed %g for task %d", t0, t1, speed, taskID)
 	case t0 < j.Task.Release-schedule.Tol:
 		return 0, fmt.Errorf("sim: task %d started at %g before release %g", taskID, t0, j.Task.Release)
-	case core < 0 || core >= p.sched.NumCores:
+	case core < 0 || core >= e.cores:
 		return 0, fmt.Errorf("sim: core %d out of range", core)
 	case j.Core >= 0 && j.Core != core:
 		return 0, fmt.Errorf("sim: task %d would migrate from core %d to %d", taskID, j.Core, core)
 	}
-	t1, speed, capped, throttled := runSegment(j, p.sys, p.limiter, core, t0, t1, speed)
+	t1, speed, capped, throttled := runSegment(j, e.sys, e.limiter, core, t0, t1, speed)
 	if capped {
-		p.tel.CountL("sdem.sim.speed_caps", p.telLabel, 1)
+		e.tel.CountL("sdem.sim.speed_caps", e.telLabel, 1)
 	}
 	if throttled {
-		p.tel.CountL("sdem.sim.throttles", p.telLabel, 1)
+		e.tel.CountL("sdem.sim.throttles", e.telLabel, 1)
 	}
-	p.sched.Add(core, schedule.Segment{TaskID: taskID, Start: t0, End: t1, Speed: speed})
-	p.tel.CountL("sdem.sim.segments", p.telLabel, 1)
-	p.tel.ObserveL("sdem.sim.segment_s", p.telLabel, t1-t0)
-	if t1 > p.now {
-		p.now = t1
+	seg := schedule.Segment{TaskID: taskID, Start: t0, End: t1, Speed: speed}
+	if e.sched != nil {
+		e.sched.Add(core, seg)
+	} else if err := e.meter.Add(core, seg); err != nil {
+		return 0, err
+	}
+	e.tel.CountL("sdem.sim.segments", e.telLabel, 1)
+	e.tel.ObserveL("sdem.sim.segment_s", e.telLabel, t1-t0)
+	if t1 > e.now {
+		e.now = t1
+	}
+	if j.Done {
+		e.active--
+		if e.sched == nil {
+			e.retire(j)
+		}
 	}
 	return t1, nil
 }
 
-// runSegment is the execution core shared by Pool.Run and Stream.Run:
-// it caps the commanded speed at s_up, applies the limiter, executes
-// work, detects completion — preserving the caller's end time when it is
-// the exact completion point up to Tol, so replaying a planned segment
-// reproduces it bit-for-bit — and flags deadline misses. It returns the
-// actual segment end and speed plus whether the speed was capped or
-// throttled (for telemetry).
+// runSegment is the execution core of Run: it caps the commanded speed
+// at s_up, applies the limiter, executes work, detects completion —
+// preserving the caller's end time when it is the exact completion point
+// up to Tol, so replaying a planned segment reproduces it bit-for-bit —
+// and flags deadline misses. It returns the actual segment end and speed
+// plus whether the speed was capped or throttled (for telemetry).
 //
 //sdem:hotpath
 func runSegment(j *Job, sys power.System, limiter SpeedLimiter, core int, t0, t1, speed float64) (end, actual float64, capped, throttled bool) {
@@ -359,6 +386,54 @@ func runSegment(j *Job, sys power.System, limiter SpeedLimiter, core int, t0, t1
 	return t1, speed, capped, throttled
 }
 
+// Seal forwards a planning-batch boundary to a metering run's meter: no
+// future segment will start before next, and the energy finalized by the
+// seal is flushed to the sdem.sim.metered_j float series so windowed
+// telemetry sees energy accrue during the run instead of only at Finish.
+// A recording run has nothing to seal.
+func (e *Executor) Seal(next float64) {
+	if e.meter == nil {
+		return
+	}
+	e.meter.Seal(next)
+	if e.tel != nil {
+		if cur := e.meter.Running(); cur > e.lastMetered {
+			e.tel.AddL("sdem.sim.metered_j", e.telLabel, cur-e.lastMetered)
+			e.lastMetered = cur
+		}
+	}
+}
+
+// retire accumulates a metering run's finished job and recycles it.
+func (e *Executor) retire(j *Job) {
+	delete(e.jobs, j.Task.ID)
+	e.completed++
+	e.tel.CountL("sdem.sim.completions", e.telLabel, 1)
+	resp := j.Completed - j.Task.Release
+	if e.onRetire != nil {
+		e.onRetire(j, resp)
+	}
+	e.sumResp += resp
+	e.maxResp = math.Max(e.maxResp, resp)
+	e.sumLax += j.Task.Deadline - j.Completed
+	if j.missed {
+		e.recordMiss(j)
+	}
+	e.free = append(e.free, j)
+}
+
+func (e *Executor) recordMiss(j *Job) {
+	e.missed++
+	if e.classify != nil {
+		if e.classify(j) {
+			e.explainedMisses++
+		} else {
+			e.tel.CountL("sdem.sim.unexplained_misses", e.telLabel, 1)
+		}
+	}
+	e.tel.CountL("sdem.sim.misses", e.telLabel, 1)
+}
+
 // Metrics summarizes the timeliness of an online run.
 type Metrics struct {
 	// MeanResponse and MaxResponse are completion − release statistics
@@ -371,7 +446,66 @@ type Metrics struct {
 	Completed int
 }
 
-// Result is the outcome of an online run.
+// StreamSummary is the outcome of a metering run: a Result's aggregates
+// without the O(jobs) schedule and per-miss slices.
+type StreamSummary struct {
+	// Admitted and Completed count jobs with non-zero workload.
+	Admitted, Completed int64
+	// Misses counts late or unfinished jobs; ExplainedMisses of those
+	// were attributed to injected faults by the classifier (equal to
+	// Misses when no classifier is installed and misses are expected).
+	Misses, ExplainedMisses int64
+	// Energy is the metered total; Breakdown itemizes it.
+	Energy    float64
+	Breakdown schedule.Breakdown
+	// Metrics summarizes response times over completed jobs.
+	Metrics Metrics
+	// Start and End delimit the metered virtual-time horizon.
+	Start, End float64
+	// MaxActive is the peak concurrently-active job count.
+	MaxActive int
+}
+
+// UnexplainedMisses returns the misses the classifier could not
+// attribute to an injected perturbation.
+func (s *StreamSummary) UnexplainedMisses() int64 { return s.Misses - s.ExplainedMisses }
+
+// Finish closes a metering run: every still-active job retires as an
+// unfinished miss (only counts change, so their order is immaterial),
+// the meter's horizon closes at the later of the last admitted deadline
+// and the latest execution, and the summary is returned.
+func (e *Executor) Finish() *StreamSummary {
+	for id, j := range e.jobs {
+		e.recordMiss(j)
+		delete(e.jobs, id)
+	}
+	e.active = 0
+	end := math.Max(e.maxDeadline, e.now)
+	var b schedule.Breakdown
+	if e.meter != nil {
+		b = e.meter.Finish(end)
+	}
+	m := Metrics{Completed: int(e.completed)}
+	if e.completed > 0 {
+		m.MeanResponse = e.sumResp / float64(e.completed)
+		m.MaxResponse = e.maxResp
+		m.MeanLaxity = e.sumLax / float64(e.completed)
+	}
+	return &StreamSummary{
+		Admitted:        e.admitted,
+		Completed:       e.completed,
+		Misses:          e.missed,
+		ExplainedMisses: e.explainedMisses,
+		Energy:          b.Total(),
+		Breakdown:       b,
+		Metrics:         m,
+		Start:           e.start,
+		End:             end,
+		MaxActive:       e.maxActive,
+	}
+}
+
+// Result is the outcome of a recording run.
 type Result struct {
 	// Schedule is the assembled schedule; its policies default to
 	// SleepBreakEven and callers adjust them per baseline semantics.
@@ -390,17 +524,17 @@ type Result struct {
 	Metrics Metrics
 }
 
-// Finish validates completion, audits and wraps the schedule. Policies on
-// the schedule may be adjusted before calling Audit again via Reaudit.
-func (p *Pool) Finish() (*Result, error) {
-	p.sched.Normalize()
+// Result closes a recording run: it normalizes and audits the schedule
+// and reports misses and metrics over the kept jobs in admission order.
+// Policies on the schedule may be adjusted afterwards via Reaudit.
+func (e *Executor) Result() *Result {
+	e.sched.Normalize()
 	var misses []int
 	var details []schedule.Miss
-	for _, id := range p.order {
-		j := p.jobs[id]
+	for _, j := range e.kept {
 		if !j.Done || j.missed {
-			misses = append(misses, id)
-			m := schedule.Miss{TaskID: id, Deadline: j.Task.Deadline}
+			misses = append(misses, j.Task.ID)
+			m := schedule.Miss{TaskID: j.Task.ID, Deadline: j.Task.Deadline}
 			if j.Done {
 				m.CompletedAt = j.Completed
 				m.Lateness = j.Completed - j.Task.Deadline
@@ -412,12 +546,11 @@ func (p *Pool) Finish() (*Result, error) {
 	}
 	// Extend the horizon if execution ran past the last deadline (only
 	// possible for missed schedules).
-	if p.now > p.sched.End {
-		p.sched.End = p.now
+	if e.now > e.sched.End {
+		e.sched.End = e.now
 	}
 	var m Metrics
-	for _, id := range p.order {
-		j := p.jobs[id]
+	for _, j := range e.kept {
 		if !j.Done || numeric.IsZero(j.Task.Workload, 0) {
 			continue
 		}
@@ -431,18 +564,18 @@ func (p *Pool) Finish() (*Result, error) {
 		m.MeanResponse /= float64(m.Completed)
 		m.MeanLaxity /= float64(m.Completed)
 	}
-	b := schedule.Audit(p.sched, p.sys)
-	if p.tel != nil {
-		p.recordFinish(b, misses, m)
+	b := schedule.Audit(e.sched, e.sys)
+	if e.tel != nil {
+		e.recordFinish(b, misses, m)
 	}
 	return &Result{
-		Schedule:    p.sched,
+		Schedule:    e.sched,
 		Misses:      misses,
 		MissDetails: details,
 		Energy:      b.Total(),
 		Breakdown:   b,
 		Metrics:     m,
-	}, nil
+	}
 }
 
 // Reaudit recomputes a result's energy under different sleep policies,

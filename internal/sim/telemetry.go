@@ -1,4 +1,4 @@
-// Telemetry instrumentation of the pool: per-component energy
+// Telemetry instrumentation of a recording run: per-component energy
 // attribution, sleep/wake accounting, and trace emission of the as-run
 // schedule on virtual time.
 package sim
@@ -48,30 +48,30 @@ func (r *Result) EnergyBreakdown() EnergyBreakdown {
 	return ComponentBreakdown(r.Breakdown)
 }
 
-// label joins the pool's scheduler label with an extra "k=v" pair,
+// label joins the executor's scheduler label with an extra "k=v" pair,
 // keeping keys in alphabetical order (component < sched).
-func (p *Pool) label(extra string) string {
-	if p.telLabel == "" {
+func (e *Executor) label(extra string) string {
+	if e.telLabel == "" {
 		return extra
 	}
 	if extra == "" {
-		return p.telLabel
+		return e.telLabel
 	}
-	return extra + "," + p.telLabel
+	return extra + "," + e.telLabel
 }
 
 // recordFinish charges the audited run into the recorder and emits the
-// as-run schedule as a trace. Called from Finish only when telemetry is
+// as-run schedule as a trace. Called from Result only when telemetry is
 // attached, so the disabled path pays nothing beyond one nil check.
-func (p *Pool) recordFinish(b schedule.Breakdown, misses []int, m Metrics) {
-	tel, l := p.tel, p.telLabel
+func (e *Executor) recordFinish(b schedule.Breakdown, misses []int, m Metrics) {
+	tel, l := e.tel, e.telLabel
 
 	// Per-component energy attribution (satellite of the audit ledger).
-	e := ComponentBreakdown(b)
-	tel.AddL("sdem.sim.energy_j", p.label("component=dynamic"), e.Dynamic)
-	tel.AddL("sdem.sim.energy_j", p.label("component=core_static"), e.CoreStatic)
-	tel.AddL("sdem.sim.energy_j", p.label("component=memory_static"), e.MemoryStatic)
-	tel.AddL("sdem.sim.energy_j", p.label("component=transition"), e.Transition)
+	c := ComponentBreakdown(b)
+	tel.AddL("sdem.sim.energy_j", e.label("component=dynamic"), c.Dynamic)
+	tel.AddL("sdem.sim.energy_j", e.label("component=core_static"), c.CoreStatic)
+	tel.AddL("sdem.sim.energy_j", e.label("component=memory_static"), c.MemoryStatic)
+	tel.AddL("sdem.sim.energy_j", e.label("component=transition"), c.Transition)
 
 	// Sleep/wake and switching event counts, straight from the audit.
 	tel.CountL("sdem.sim.core_sleeps", l, int64(b.CoreSleeps))
@@ -84,19 +84,19 @@ func (p *Pool) recordFinish(b schedule.Breakdown, misses []int, m Metrics) {
 		tel.ObserveL("sdem.sim.response_s", l, m.MeanResponse)
 	}
 
-	p.emitTrace(misses)
+	e.emitTrace(misses)
 }
 
 // emitTrace renders the normalized schedule as trace spans on virtual
 // time. Lane convention: tid 0 is the memory, tid k+1 is core k. Idle
 // gaps are classified exactly as the audit charges them (sleep vs.
 // idle-active) via the schedule's policies.
-func (p *Pool) emitTrace(misses []int) {
-	s := p.sched
+func (e *Executor) emitTrace(misses []int) {
+	s := e.sched
 	for c, segs := range s.Cores {
 		tid := c + 1
 		for _, sg := range segs {
-			p.tel.Span("task "+strconv.Itoa(sg.TaskID), "sim", sg.Start, sg.End, tid,
+			e.tel.Span("task "+strconv.Itoa(sg.TaskID), "sim", sg.Start, sg.End, tid,
 				telemetry.Int("task", int64(sg.TaskID)),
 				telemetry.Num("speed", sg.Speed))
 		}
@@ -105,41 +105,35 @@ func (p *Pool) emitTrace(misses []int) {
 		}
 		for _, g := range schedule.Gaps(schedule.BusyIntervals(segs), s.Start, s.End) {
 			name := "core idle"
-			if s.CorePolicy.Sleeps(g.Len(), p.sys.Core.Static, p.sys.Core.BreakEven) {
+			if s.CorePolicy.Sleeps(g.Len(), e.sys.Core.Static, e.sys.Core.BreakEven) {
 				name = "core sleep"
 			}
-			p.tel.Span(name, "sim", g.Start, g.End, tid)
+			e.tel.Span(name, "sim", g.Start, g.End, tid)
 		}
 	}
 	busy := s.MemoryBusy()
 	for _, iv := range busy {
-		p.tel.Span("memory active", "sim", iv.Start, iv.End, 0)
+		e.tel.Span("memory active", "sim", iv.Start, iv.End, 0)
 	}
 	for _, g := range schedule.Gaps(busy, s.Start, s.End) {
 		name := "memory idle"
-		if s.MemoryPolicy.Sleeps(g.Len(), p.sys.Memory.Static, p.sys.Memory.BreakEven) {
+		if s.MemoryPolicy.Sleeps(g.Len(), e.sys.Memory.Static, e.sys.Memory.BreakEven) {
 			name = "memory sleep"
 		}
-		p.tel.Span(name, "sim", g.Start, g.End, 0)
+		e.tel.Span(name, "sim", g.Start, g.End, 0)
 	}
 	for _, id := range misses {
-		j := p.jobs[id]
+		j := e.jobs[id]
 		tid := 0
-		if j != nil && j.Core >= 0 {
+		if j.Core >= 0 {
 			tid = j.Core + 1
 		}
-		p.tel.Instant("deadline miss", "sim", p.missTime(j), tid, telemetry.Int("task", int64(id)))
+		// A late completion is stamped when it happened; a job that never
+		// finished, at its deadline.
+		at := j.Task.Deadline
+		if j.Done {
+			at = j.Completed
+		}
+		e.tel.Instant("deadline miss", "sim", at, tid, telemetry.Int("task", int64(id)))
 	}
-}
-
-// missTime picks the trace timestamp of a miss: the late completion, or
-// the deadline for jobs that never finished.
-func (p *Pool) missTime(j *Job) float64 {
-	if j == nil {
-		return p.sched.End
-	}
-	if j.Done {
-		return j.Completed
-	}
-	return j.Task.Deadline
 }

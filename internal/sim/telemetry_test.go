@@ -20,22 +20,15 @@ func runInstrumented(t *testing.T, tel *telemetry.Recorder) *Result {
 		{ID: 1, Release: 0, Deadline: 0.2, Workload: 1e8},
 		{ID: 2, Release: 0.1, Deadline: 0.6, Workload: 1e8},
 	}
-	pool, err := NewPool(tasks, testSystem(), 2)
-	if err != nil {
+	ex := record(t, tasks, testSystem(), 2)
+	ex.SetTelemetry(tel, "test")
+	if _, err := ex.Run(1, 0, 0, 0.2, 1e9); err != nil {
 		t.Fatal(err)
 	}
-	pool.SetTelemetry(tel, "test")
-	if _, err := pool.Run(1, 0, 0, 0.2, 1e9); err != nil {
+	if _, err := ex.Run(2, 1, 0.1, 0.3, 1e9); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.Run(2, 1, 0.1, 0.3, 1e9); err != nil {
-		t.Fatal(err)
-	}
-	res, err := pool.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return ex.Result()
 }
 
 // TestEnergyBreakdownSumsToTotal is the satellite invariant: the public
@@ -109,19 +102,13 @@ func TestPoolTelemetryMetricsAndTrace(t *testing.T) {
 
 func TestPoolTelemetryMissInstant(t *testing.T) {
 	tasks := task.Set{{ID: 1, Release: 0, Deadline: 0.1, Workload: 1e8}}
-	pool, err := NewPool(tasks, testSystem(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := record(t, tasks, testSystem(), 1)
 	tel := telemetry.New()
-	pool.SetTelemetry(tel, "")
-	if _, err := pool.Run(1, 0, 0, 0.2, 0.5e9); err != nil {
+	ex.SetTelemetry(tel, "")
+	if _, err := ex.Run(1, 0, 0, 0.2, 0.5e9); err != nil {
 		t.Fatal(err)
 	}
-	res, err := pool.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := ex.Result()
 	if len(res.Misses) != 1 {
 		t.Fatalf("misses = %v, want 1", res.Misses)
 	}
