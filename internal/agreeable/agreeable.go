@@ -90,7 +90,13 @@ type solver struct {
 	// stretches to fill its available window (constrained critical speed
 	// semantics of §7).
 	stretched []bool
-	tel       *telemetry.Recorder
+	// sm is the core's unconstrained critical speed CriticalSpeedRaw(),
+	// one fractional power per solve instead of one per probed task.
+	sm float64
+	// evals tallies blockEnergy probes; blockSolve flushes it to
+	// telemetry once per block instead of once per probe.
+	evals int64
+	tel   *telemetry.Recorder
 	// ctx, when non-nil, is polled at DP row boundaries so a caller's
 	// deadline budget can abandon an expensive solve cooperatively.
 	ctx context.Context
@@ -117,6 +123,7 @@ func newSolver(tasks task.Set, sys power.System, m mode) (*solver, error) {
 		s.sys.Core.BreakEven = 0
 		s.sys.Memory.BreakEven = 0
 	}
+	s.sm = s.sys.Core.CriticalSpeedRaw()
 	if len(tasks) == 0 {
 		return s, nil
 	}
@@ -134,8 +141,8 @@ func newSolver(tasks task.Set, sys power.System, m mode) (*solver, error) {
 		horizon := s.end - s.start
 		s.stretched = make([]bool, len(s.tasks))
 		for k, t := range s.tasks {
-			sc := s.sys.Core.ConstrainedCriticalSpeed(t.FilledSpeed(), t.Workload, horizon)
-			s0 := s.sys.Core.CriticalSpeed(t.FilledSpeed())
+			sc := s.sys.Core.ConstrainedCriticalSpeedAt(s.sm, t.FilledSpeed(), t.Workload, horizon)
+			s0 := s.sys.Core.ClampSpeed(s.sm, t.FilledSpeed())
 			// ConstrainedCriticalSpeed returns the filled speed when the
 			// idle tail left by racing is below the core break-even.
 			s.stretched[k] = sc < s0-(relTol/1000)*s0
@@ -174,7 +181,7 @@ func (s *solver) coreEnergy(k int, avail float64) (float64, float64) {
 		// dynamic term matters and stretching is optimal.
 		speed = filled
 	default:
-		speed = core.CriticalSpeed(filled)
+		speed = core.ClampSpeed(s.sm, filled)
 	}
 	exec := w / speed
 	e := core.Dynamic(speed) * exec
@@ -190,7 +197,7 @@ func (s *solver) coreEnergy(k int, avail float64) (float64, float64) {
 //
 //sdem:hotpath
 func (s *solver) blockEnergy(from, to int, bs, be float64) float64 {
-	s.tel.Count("sdem.solver.agr.objective_evals", 1)
+	s.evals++
 	if be <= bs {
 		return math.Inf(1)
 	}
@@ -219,10 +226,12 @@ func (s *solver) blockSolve(from, to int) Block {
 		X0: first.Release, X1: first.Deadline,
 		Y0: last.Release, Y1: last.Deadline,
 	}
-	//lint:allow hotalloc: the objective closure allocates once per block solve and is amortized over its ~10³ 2-D probes
+	//lint:allow hotalloc: the objective closure allocates once per block solve and is amortized over its ~3.2k 2-D probes
 	bs, be, cost := numeric.MinimizeConvex2D(func(x, y float64) float64 {
 		return s.blockEnergy(from, to, x, y)
 	}, box, relTol/1000)
+	s.tel.Count("sdem.solver.agr.objective_evals", s.evals)
+	s.evals = 0
 	return Block{From: from, To: to, BusyStart: bs, BusyEnd: be, Cost: cost}
 }
 

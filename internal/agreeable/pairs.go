@@ -41,7 +41,7 @@ func BlockCostPairs(tasks task.Set, sys power.System) float64 {
 		if sys.Core.SpeedMax > 0 && wk/length > sys.Core.SpeedMax*(1+relTol/1000) {
 			return math.Inf(1)
 		}
-		return beta * math.Pow(wk, lambda) * math.Pow(length, 1-lambda)
+		return beta * numeric.Pow(wk, lambda) * numeric.Pow(length, 1-lambda)
 	}
 
 	// energy evaluates E_{i,j}(Δ1, Δ2) per Eq. (12)/(13)/(14): busy

@@ -93,6 +93,7 @@ type instance struct {
 	points  []float64
 	sufMaxW []float64
 	evalFn  func(float64) float64
+	evals   int64 // objective evaluations of the current scan, flushed once
 
 	// Closed-form objective tables (overhead.go), retained across solves.
 	sufPow  []float64
@@ -231,17 +232,20 @@ func (in *instance) normalizeInto(tasks task.Set, sys power.System, natural natu
 		in.horizon = math.Max(in.horizon, t.Deadline)
 	}
 	in.c = in.c[:0]
+	// The core's critical speed is one fractional power per instance, not
+	// one or two per task.
+	sm := sys.Core.CriticalSpeedRaw()
 	for _, t := range in.tasks {
 		var s float64
 		switch natural {
 		case naturalCritical:
 			filled := t.FilledSpeed()
-			s = sys.Core.CriticalSpeed(filled)
+			s = sys.Core.ClampSpeed(sm, filled)
 			if s <= filled*(1+relTol) {
 				tel.Count("sdem.solver.cr.critical_clamps", 1)
 			}
 		case naturalConstrained:
-			s = sys.Core.ConstrainedCriticalSpeed(t.FilledSpeed(), t.Workload, horizon0)
+			s = sys.Core.ConstrainedCriticalSpeedAt(sm, t.FilledSpeed(), t.Workload, horizon0)
 		default:
 			s = t.FilledSpeed()
 		}
@@ -368,7 +372,7 @@ func (in *instance) cases(alphaPerCore float64, applyCap bool) []caseData {
 	sufMaxW := make([]float64, n+1)
 	for i := n - 1; i >= 0; i-- {
 		w := in.tasks[i].Workload
-		sufPow[i] = sufPow[i+1] + math.Pow(w, core.Lambda)
+		sufPow[i] = sufPow[i+1] + numeric.Pow(w, core.Lambda)
 		sufMaxW[i] = math.Max(sufMaxW[i+1], w)
 	}
 	out := make([]caseData, n)
@@ -391,7 +395,7 @@ func (in *instance) cases(alphaPerCore float64, applyCap bool) []caseData {
 			lo = math.Max(lo, sufMaxW[i]/core.SpeedMax)
 		}
 		out[i] = caseData{lo: lo, hi: in.c[i], lstar: lstar, suffix: sufPow[i], prefix: prefix}
-		prefix += core.Beta*math.Pow(in.tasks[i].Workload, core.Lambda)*math.Pow(in.c[i], 1-core.Lambda) +
+		prefix += core.Beta*numeric.Pow(in.tasks[i].Workload, core.Lambda)*numeric.Pow(in.c[i], 1-core.Lambda) +
 			alphaPerCore*in.c[i]
 	}
 	return out
@@ -405,7 +409,7 @@ func (in *instance) energyAt(cd caseData, i int, L float64, alphaPerCore float64
 	}
 	core, mem := in.sys.Core, in.sys.Memory
 	k := float64(len(in.tasks) - i)
-	return (k*alphaPerCore+mem.Static)*L + core.Beta*cd.suffix*math.Pow(L, 1-core.Lambda) + cd.prefix
+	return (k*alphaPerCore+mem.Static)*L + core.Beta*cd.suffix*numeric.Pow(L, 1-core.Lambda) + cd.prefix
 }
 
 // scanAll evaluates every case at its clamped minimizer and returns the

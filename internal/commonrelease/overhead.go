@@ -69,20 +69,38 @@ func SolveWithOverheadTel(tasks task.Set, sys power.System, tel *telemetry.Recor
 // capFor is the smallest feasible busy length when the aligned set is
 // that of busy length L: tasks i..n are aligned and need w/L ≤ s_up.
 func (in *instance) capFor(L float64) float64 {
-	i := sort.SearchFloat64s(in.c, L) // first c_j ≥ L
+	i := lowerBound(in.c, L) // first c_j ≥ L
 	if in.sys.Core.SpeedMax <= 0 {
 		return 0
 	}
 	return in.sufMaxW[i] / in.sys.Core.SpeedMax
 }
 
+// lowerBound is sort.SearchFloat64s(c, x) — the first index i with
+// c[i] ≥ x, or len(c) — with the predicate inlined: the same bisection
+// and the same index for every x (NaN included), without a closure call
+// per step. The golden-section objective runs it on every probe.
+func lowerBound(c []float64, x float64) int {
+	i, j := 0, len(c)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if !(c[h] >= x) {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
+}
+
 // evalOverhead is the golden-section objective: the audited energy of the
 // busy-length-L candidate, +Inf outside the feasible region. It prices
 // the candidate in closed form (prepOverheadEval's tables) instead of
 // building and auditing a schedule — the audit-based energyOf stays as
-// the oracle the overhead tests pin the closed form against.
+// the oracle the overhead tests pin the closed form against. It tallies
+// itself in in.evals; overheadScan flushes the tally to telemetry once.
 func (in *instance) evalOverhead(L float64) float64 {
-	in.tel.Count("sdem.solver.cr.objective_evals", 1)
+	in.evals++
 	if L <= 0 {
 		return math.Inf(1)
 	}
@@ -111,12 +129,12 @@ func (in *instance) prepOverheadEval() {
 	in.sufPow, in.prefDyn, in.prefFix = in.sufPow[:n+1], in.prefDyn[:n+1], in.prefFix[:n+1]
 	in.sufPow[n] = 0
 	for i := n - 1; i >= 0; i-- {
-		in.sufPow[i] = in.sufPow[i+1] + math.Pow(in.tasks[i].Workload, core.Lambda)
+		in.sufPow[i] = in.sufPow[i+1] + numeric.Pow(in.tasks[i].Workload, core.Lambda)
 	}
 	in.prefDyn[0], in.prefFix[0] = 0, 0
 	for i, t := range in.tasks {
 		c := in.c[i]
-		in.prefDyn[i+1] = in.prefDyn[i] + core.Beta*math.Pow(t.Workload, core.Lambda)*math.Pow(c, 1-core.Lambda)
+		in.prefDyn[i+1] = in.prefDyn[i] + core.Beta*numeric.Pow(t.Workload, core.Lambda)*numeric.Pow(c, 1-core.Lambda)
 		in.prefFix[i+1] = in.prefFix[i] + core.Static*c +
 			schedule.SleepBreakEven.GapEnergy(in.horizon-c, core.Static, core.BreakEven)
 	}
@@ -129,7 +147,7 @@ func (in *instance) prepOverheadEval() {
 // term prices what the Auditor would charge — same gapCost branches,
 // same Tol boundary — so it matches energyOf to float rounding.
 func (in *instance) energyClosed(L float64) float64 {
-	i := sort.SearchFloat64s(in.c, L-schedule.Tol)
+	i := lowerBound(in.c, L-schedule.Tol)
 	if i == len(in.c) {
 		// No aligned task: outside the scan range [c_1·ε, c_n]; fall back
 		// to the audited oracle rather than mis-pricing the memory tail.
@@ -139,7 +157,7 @@ func (in *instance) energyClosed(L float64) float64 {
 	k := float64(len(in.tasks) - i)
 	tail := in.horizon - L
 	return in.prefDyn[i] + in.prefFix[i] +
-		core.Beta*in.sufPow[i]*math.Pow(L, 1-core.Lambda) +
+		core.Beta*in.sufPow[i]*numeric.Pow(L, 1-core.Lambda) +
 		k*(core.Static*L+schedule.SleepBreakEven.GapEnergy(tail, core.Static, core.BreakEven)) +
 		mem.Static*L + schedule.SleepBreakEven.GapEnergy(tail, mem.Static, mem.BreakEven)
 }
@@ -183,6 +201,7 @@ func (in *instance) overheadScan() (bestL float64, caseIdx int) {
 		in.evalFn = in.evalOverhead
 	}
 
+	in.evals = 0
 	bestL, bestE := in.c[n-1], in.evalFn(in.c[n-1])
 	lo := math.Max(in.capFor(in.c[0]), in.c[0]*relTol)
 	prev := lo
@@ -198,8 +217,10 @@ func (in *instance) overheadScan() (bestL float64, caseIdx int) {
 		prev = p
 	}
 
+	in.tel.Count("sdem.solver.cr.objective_evals", in.evals)
+
 	// Identify the winning case index for reporting.
-	caseIdx = sort.SearchFloat64s(in.c, bestL-schedule.Tol) + 1
+	caseIdx = lowerBound(in.c, bestL-schedule.Tol) + 1
 	if caseIdx > n {
 		caseIdx = n
 	}

@@ -92,29 +92,31 @@ func (sv *Solver) PlanEndsRel(tasks task.Set, sys power.System, tel *telemetry.R
 	return ends, nil
 }
 
-// NaturalCompletion returns the completion time, relative to release,
+// NaturalCompletionAt returns the completion time, relative to release,
 // that SolveTel's normalization assigns the task when it runs at its
 // natural speed under sys: the same bits as the corresponding in.c entry
-// of normalizeInto. horizon is the §7 maximal interval max_j (d_j − r_j)
-// of the instance the task belongs to (only read in overhead mode on a
-// leaky core).
+// of normalizeInto. sm is the core's unconstrained critical speed
+// sys.Core.CriticalSpeedRaw(), which the caller computes once for a whole
+// instance. horizon is the §7 maximal interval max_j (d_j − r_j) of the
+// instance the task belongs to (only read in overhead mode on a leaky
+// core).
 //
 // Every scheme picks a busy length L ≤ max_j c_j and every planned
-// completion is ≤ max(c_j, L), so release + max_j NaturalCompletion
+// completion is ≤ max(c_j, L), so release + max_j NaturalCompletionAt
 // bounds all planned execution — the online engine uses this to certify
 // that a planning step cannot schedule work past a point without
 // running the solve.
-func NaturalCompletion(t task.Task, sys power.System, horizon float64) float64 {
+func NaturalCompletionAt(sm float64, t task.Task, sys power.System, horizon float64) float64 {
 	var s float64
 	switch {
 	case sys.Core.BreakEven > 0 || sys.Memory.BreakEven > 0:
 		if overheadMode(sys) == naturalFilled {
 			s = t.FilledSpeed()
 		} else {
-			s = sys.Core.ConstrainedCriticalSpeed(t.FilledSpeed(), t.Workload, horizon)
+			s = sys.Core.ConstrainedCriticalSpeedAt(sm, t.FilledSpeed(), t.Workload, horizon)
 		}
 	case sys.Core.Static > 0:
-		s = sys.Core.CriticalSpeed(t.FilledSpeed())
+		s = sys.Core.ClampSpeed(sm, t.FilledSpeed())
 	default:
 		s = t.FilledSpeed()
 	}

@@ -110,7 +110,7 @@ func MinimizeConvex2D(f func(x, y float64) float64, b Box, tol float64) (x, y, f
 		// default is two decades looser than DefaultTol.
 		tol = 100 * DefaultTol
 	}
-	//lint:allow hotalloc: the nested-search closures allocate once per 2-D solve and are amortized over its ~10³ probes
+	//lint:allow hotalloc: the nested-search closures allocate once per 2-D solve and are amortized over its probes (~3.2k per agreeable block solve)
 	inner := func(x float64) (float64, float64) {
 		//lint:allow hotalloc: the y-slice closure is re-bound per outer probe; threading x explicitly would obscure the nesting
 		return MinimizeConvex(func(yy float64) float64 { return f(x, yy) }, b.Y0, b.Y1, tol)

@@ -277,9 +277,10 @@ func (rt *Runtime) certifySleep(now, next float64, sys, planSys power.System) bo
 	for _, vt := range rt.virtual {
 		horizon = math.Max(horizon, vt.Deadline-vt.Release)
 	}
+	sm := planSys.Core.CriticalSpeedRaw()
 	var cmax float64
 	for _, vt := range rt.virtual {
-		cmax = math.Max(cmax, commonrelease.NaturalCompletion(vt, planSys, horizon))
+		cmax = math.Max(cmax, commonrelease.NaturalCompletionAt(sm, vt, planSys, horizon))
 	}
 	bound := (now + cmax) - now // ≥ any solved plan's p
 	for _, vt := range rt.virtual {

@@ -130,7 +130,7 @@ func (c Core) Dynamic(s float64) float64 {
 	if s <= 0 {
 		return 0
 	}
-	return c.Beta * math.Pow(s, c.Lambda)
+	return c.Beta * numeric.Pow(s, c.Lambda)
 }
 
 // Power returns the total active power α + β·s^λ at speed s.
@@ -195,12 +195,20 @@ func (c Core) MemoryCriticalSpeed(mem Memory, filled float64) float64 {
 // running at it leaves an idle tail of at least the core break-even time ξ
 // (so the core can actually sleep), and the filled speed otherwise.
 func (c Core) ConstrainedCriticalSpeed(filled, w, horizon float64) float64 {
-	s := c.CriticalSpeedRaw()
+	return c.ConstrainedCriticalSpeedAt(c.CriticalSpeedRaw(), filled, w, horizon)
+}
+
+// ConstrainedCriticalSpeedAt is ConstrainedCriticalSpeed with the core's
+// unconstrained critical speed sm = CriticalSpeedRaw() supplied by the
+// caller, so a solver pricing many tasks on one core computes that
+// fractional power once rather than twice per task.
+func (c Core) ConstrainedCriticalSpeedAt(sm, filled, w, horizon float64) float64 {
+	s := sm
 	if c.SpeedMax > 0 && s > c.SpeedMax {
 		s = c.SpeedMax
 	}
 	if s > 0 && horizon-w/s >= c.BreakEven {
-		return c.ClampSpeed(c.CriticalSpeedRaw(), filled)
+		return c.ClampSpeed(sm, filled)
 	}
 	return c.ClampSpeed(filled, filled)
 }
